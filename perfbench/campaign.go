@@ -2,7 +2,7 @@ package main
 
 // The spec-driven workloads, paper-predict and load-sweep: a campaign
 // spec generated from the seed, parsed and expanded during set-up,
-// and run on one two-worker noc runner with a cold in-memory cache.
+// and run on one noc runner with a cold in-memory cache.
 
 import (
 	"bytes"
@@ -26,11 +26,15 @@ import (
 )
 
 const (
-	// setupRepeats is how many extra set-ups a run times before it
-	// measures, so setup_s is a median over many samples.
+	// setupRepeats is how many times a traced run times the spec and
+	// report layers.
 	setupRepeats = 50
-	// warmRepeats is how many warm passes follow each cold pass: at
-	// least 100, so warm_p90_ms has ten samples beyond it.
+	// setupBatch is how many set-ups an untraced run times before each
+	// measured process, so setup_s is a median over many samples taken
+	// across the whole run.
+	setupBatch = 40
+	// warmRepeats is how many warm reruns or requests a warm process
+	// times: at least 100, so warm_p90_ms has ten samples beyond it.
 	warmRepeats = 100
 	// tracedWarmRepeats is the warm passes of a traced run.
 	tracedWarmRepeats = 10
@@ -45,11 +49,12 @@ type campaign struct {
 	traces   []string // trace files the spec replays
 	golden   string   // recorded output for this seed, "" for none
 	cache    string   // the cache file the set-up opens; absent for a cold pass
+	workers  int      // the runner's pool size
 }
 
 // newCampaign generates the named workload's inputs from the seed.
 func newCampaign(o options) (*campaign, error) {
-	c := &campaign{name: o.workload, cache: filepath.Join(o.work, o.workload+".cache.json")}
+	c := &campaign{name: o.workload, cache: filepath.Join(o.work, o.workload+".cache.json"), workers: o.workers()}
 	if !o.small && o.seed == defaultSeed {
 		c.golden = filepath.Join(o.root, "perfbench", "testdata", o.workload+".seed1.txt")
 	}
@@ -176,7 +181,7 @@ func (c *campaign) setup(hub *obs.Hub) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	ss := &session{spec: s, groups: groups, runner: noc.NewObservedRunner(workers, cache, hub)}
+	ss := &session{spec: s, groups: groups, runner: noc.NewObservedRunner(c.workers, cache, hub)}
 	for _, g := range groups {
 		ss.jobs = append(ss.jobs, g...)
 	}
@@ -192,19 +197,13 @@ func (c *campaign) clearCache() error {
 }
 
 // warmPass reruns the campaign on a session whose cache holds every
-// result, timed whole. Every job must be a cache hit and the output
-// must equal the cold pass's. The heap is collected first: a warm pass
-// allocates far less than the runtime's minimum heap goal, so, like a
-// fresh shrun -cache run, it would not collect on its own, and
-// without this it would pay for whichever earlier pass's garbage the
-// collector happened to reach during it.
+// result. Every job must be a cache hit and the output must equal the
+// cold pass's.
 func (c *campaign) warmPass(ss *session, cold []byte, t *tally) warm {
-	runtime.GC()
 	hits0, _ := ss.runner.Cache.Stats()
 	computed0 := ss.runner.Stats().Computed
-	t0 := time.Now()
 	out := c.pass(ss)
-	w := warm{latency: time.Since(t0), computed: ss.runner.Stats().Computed - computed0}
+	w := warm{computed: ss.runner.Stats().Computed - computed0}
 	hits1, _ := ss.runner.Cache.Stats()
 	w.hits = hits1 - hits0
 	t.ops(out.jobs, out.failed)
@@ -213,9 +212,8 @@ func (c *campaign) warmPass(ss *session, cold []byte, t *tally) warm {
 	return w
 }
 
-// warm is one warm pass's latency and cache accounting.
+// warm is one warm pass's cache accounting.
 type warm struct {
-	latency  time.Duration
 	hits     int
 	computed int64
 }
@@ -232,7 +230,7 @@ type output struct {
 
 // pass runs the campaign once on the session's runner — the Table III
 // job, when the workload has it, as a concurrent batch sharing the
-// runner's two workers — and renders its output.
+// runner's workers — and renders its output.
 func (c *campaign) pass(ss *session) output {
 	var (
 		wg    sync.WaitGroup
@@ -272,48 +270,92 @@ func (c *campaign) run(o options, v values, t *tally, log io.Writer) error {
 	return c.untraced(o, v, t, log)
 }
 
-// untraced times set-ups in this process, then measures cold passes,
-// each in a process of its own (see measurePasses).
+// untraced measures cold passes and warm processes (see
+// measurePasses), timing a batch of cold set-ups in this process
+// before each, each set-up after a reference chunk. The set-ups use a
+// cache file of their own, leaving the passes' alone.
 func (c *campaign) untraced(o options, v values, t *tally, log io.Writer) error {
-	var setups []float64
-	for i := 0; i < setupRepeats; i++ {
-		if err := c.clearCache(); err != nil {
-			return err
+	sc := *c
+	sc.cache = filepath.Join(o.work, c.name+".setup.cache.json")
+	return measurePasses(o, v, t, log, func() ([]float64, error) {
+		var raw []float64
+		meter := newSpeedMeter(true)
+		for i := 0; i < setupBatch; i++ {
+			if err := sc.clearCache(); err != nil {
+				return nil, err
+			}
+			meter.sample()
+			clk := startClock()
+			if _, err := sc.setup(nil); err != nil {
+				return nil, err
+			}
+			raw = append(raw, seconds(clk.cpuSince()))
 		}
-		t0 := time.Now()
-		if _, err := c.setup(nil); err != nil {
-			return err
-		}
-		setups = append(setups, seconds(time.Since(t0)))
-	}
-	return measurePasses(o, v, t, log, setups)
+		return atNominal(raw, meter), nil
+	})
 }
 
 // measuredPass sets up, runs one cold pass, checks its output, and
-// follows it with warmRepeats warm passes on the same session.
+// saves the cache file the warm processes open.
 func (c *campaign) measuredPass(o options, t *tally, log io.Writer) (*passResult, error) {
 	deadlocks := sim.Counters().Deadlocks
 	if err := c.clearCache(); err != nil {
 		return nil, err
 	}
-	p := &passResult{}
-	t0 := time.Now()
 	ss, err := c.setup(nil)
 	if err != nil {
 		return nil, err
 	}
-	p.Setup = seconds(time.Since(t0))
-	t0 = time.Now()
+	p := &passResult{}
+	cold := newSpeedMeter(false)
+	clk := startClock()
+	stop := cold.probe()
 	out := c.pass(ss)
-	p.Wall = seconds(time.Since(t0))
+	probed := stop()
+	p.ColdCPU, p.Wall = seconds(clk.cpuSince()-probed), seconds(clk.wallSince())
+	p.ColdSpeed = cold.factor()
 	t.ops(out.jobs, out.failed)
 	t.check(sim.Counters().Deadlocks == deadlocks, "%d simulations deadlocked", sim.Counters().Deadlocks-deadlocks)
 	c.checkGolden(o, out.bytes, t, log)
 	p.Output = digestOf(out.bytes)
 	p.Table3 = table3Values(out.table3)
-	for w := 0; w < warmRepeats; w++ {
-		p.WarmMs = append(p.WarmMs, millis(c.warmPass(ss, out.bytes, t).latency))
+	return p, ss.runner.Cache.Save()
+}
+
+// warmProcess reruns the campaign warmRepeats times on the cache file
+// the last cold pass saved, each time as a second shrun -cache run
+// does it: set-up, which opens the cache file, then the pass, all of
+// it cache hits. Each rerun follows a reference chunk and a collection
+// of the last one's garbage: a rerun allocates far less than the
+// runtime's minimum heap goal, so it would not collect on its own,
+// and would pay for whichever earlier rerun's garbage the collector
+// happened to reach during it. Every rerun must compute nothing and
+// render the same output.
+func (c *campaign) warmProcess(t *tally) (*passResult, error) {
+	p := &passResult{}
+	meter := newSpeedMeter(true)
+	var ref []byte
+	for i := 0; i < warmRepeats; i++ {
+		meter.sample()
+		runtime.GC()
+		clk := startClock()
+		ss, err := c.setup(nil)
+		if err != nil {
+			return nil, err
+		}
+		out := c.pass(ss)
+		p.WarmCPUMs = append(p.WarmCPUMs, millis(clk.cpuSince()))
+		t.ops(out.jobs, out.failed)
+		computed := ss.runner.Stats().Computed
+		t.check(computed == 0, "warm rerun computed %d jobs", computed)
+		if ref == nil {
+			ref = out.bytes
+		} else {
+			t.check(bytes.Equal(out.bytes, ref), "warm rerun output differs")
+		}
 	}
+	p.WarmSpeed = meter.factor()
+	p.Output = digestOf(ref)
 	return p, nil
 }
 

@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -36,9 +35,6 @@ import (
 const (
 	frontierBody      = `{"arch":{"scenario":"a","rows":7,"cols":8},"simulate":false}`
 	frontierBodySmall = `{"arch":{"scenario":"a","rows":4,"cols":4},"simulate":false}`
-	// serviceBoots is how many extra boots a run times before it
-	// measures, so setup_s is a median over many samples.
-	serviceBoots = 50
 )
 
 // service is one booted campaign service.
@@ -52,11 +48,12 @@ type service struct {
 	done   chan error
 }
 
-// boot wires the service as cmd/shserved does — observed runner,
-// cache file at cachePath, structured logs on stderr — and returns
-// once it has answered its first /healthz. traceCap, when positive,
-// sizes the hub's trace store so a traced run keeps every job's spans.
-func boot(client *http.Client, cachePath string, traceCap int) (*service, error) {
+// boot wires the service as cmd/shserved does — observed runner with
+// workers workers, cache file at cachePath, structured logs on stderr
+// — and returns once it has answered its first /healthz. traceCap,
+// when positive, sizes the hub's trace store so a traced run keeps
+// every job's spans.
+func boot(client *http.Client, cachePath string, traceCap, workers int) (*service, error) {
 	logger, err := obs.NewLogger(os.Stderr, "info")
 	if err != nil {
 		return nil, err
@@ -119,24 +116,26 @@ func (s *service) close() {
 	s.camp.Close()
 }
 
-// answer is one /v1/frontier response as the client saw it.
+// answer is one /v1/frontier response as the client saw it, with the
+// CPU time the process — client and service — spent on it.
 type answer struct {
 	body    serve.FrontierJSON
 	size    int
 	latency time.Duration
+	cpu     time.Duration
 }
 
 // frontier sends one request and decodes the answer; a non-2xx status
 // is an error.
 func (s *service) frontier(client *http.Client, body string) (answer, error) {
-	t0 := time.Now()
+	clk := startClock()
 	resp, err := client.Post(s.url+"/v1/frontier", "application/json", strings.NewReader(body))
 	if err != nil {
 		return answer{}, err
 	}
 	data, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	a := answer{size: len(data), latency: time.Since(t0)}
+	a := answer{size: len(data), latency: clk.wallSince(), cpu: clk.cpuSince()}
 	if err != nil {
 		return a, err
 	}
@@ -234,14 +233,15 @@ func (r *frontierRun) request(s *service, warm bool) (answer, error) {
 	return a, nil
 }
 
-// coldBoot boots a service on an empty cache file.
+// coldBoot boots a service on an empty cache file and returns the CPU
+// time the boot took.
 func (r *frontierRun) coldBoot(traceCap int) (*service, time.Duration, error) {
 	if err := os.Remove(r.cache); err != nil && !os.IsNotExist(err) {
 		return nil, 0, err
 	}
-	t0 := time.Now()
-	s, err := boot(r.client, r.cache, traceCap)
-	return s, time.Since(t0), err
+	clk := startClock()
+	s, err := boot(r.client, r.cache, traceCap, r.o.workers())
+	return s, clk.cpuSince(), err
 }
 
 // newFrontierRun prepares the workload's request and checks.
@@ -269,62 +269,91 @@ func runFrontier(o options, v values, t *tally, log io.Writer) error {
 	return r.untraced(v)
 }
 
-// warmRequests sends n warm repeats and returns their latencies in ms
+// warmRequests sends n warm repeats and returns their CPU times in ms
 // and the service overhead of each (client latency minus the
-// exploration's own wall time).
-func (r *frontierRun) warmRequests(s *service, n int) (lat, overhead []float64, size int, err error) {
+// exploration's own wall time). A non-nil meter samples the host's
+// speed before each request.
+func (r *frontierRun) warmRequests(s *service, n int, meter *speedMeter) (cpu, overhead []float64, size int, err error) {
 	for i := 0; i < n; i++ {
+		if meter != nil {
+			meter.sample()
+		}
 		a, err := r.request(s, true)
 		if err != nil {
 			return nil, nil, 0, err
 		}
-		lat = append(lat, millis(a.latency))
+		cpu = append(cpu, millis(a.cpu))
 		overhead = append(overhead, millis(a.latency)-a.body.Report.WallMs)
 		size = a.size
 	}
-	return lat, overhead, size, nil
+	return cpu, overhead, size, nil
 }
 
-// untraced times service boots in this process, then measures cold
-// requests, each in a process of its own (see measurePasses).
+// untraced measures cold requests and warm processes (see
+// measurePasses), timing a batch of service boots in this process
+// before each, each boot after a reference chunk. The boots use a
+// cache file of their own, leaving the passes' alone.
 func (r *frontierRun) untraced(v values) error {
-	var setups []float64
-	for i := 0; i < serviceBoots; i++ {
-		s, d, err := r.coldBoot(0)
-		if err != nil {
-			return err
+	sr := *r
+	sr.cache = filepath.Join(r.o.work, "frontier-svc.setup.cache.json")
+	return measurePasses(r.o, v, r.t, r.log, func() ([]float64, error) {
+		var raw []float64
+		meter := newSpeedMeter(true)
+		for i := 0; i < setupBatch; i++ {
+			meter.sample()
+			s, d, err := sr.coldBoot(0)
+			if err != nil {
+				return nil, err
+			}
+			raw = append(raw, seconds(d))
+			s.close()
 		}
-		setups = append(setups, seconds(d))
-		s.close()
-	}
-	return measurePasses(r.o, v, r.t, r.log, setups)
+		return atNominal(raw, meter), nil
+	})
 }
 
 // measuredPass boots a service on an empty cache file, sends the cold
-// request and warmRepeats warm repeats, and shuts the service down.
-// The service must not simulate.
+// request, and shuts the service down, which saves the cache file the
+// warm processes boot on. The service must not simulate.
 func (r *frontierRun) measuredPass() (*passResult, error) {
 	defer r.client.CloseIdleConnections()
 	runs := sim.Counters().Runs
-	s, d, err := r.coldBoot(0)
+	s, _, err := r.coldBoot(0)
+	if err != nil {
+		return nil, err
+	}
+	cold := newSpeedMeter(false)
+	stop := cold.probe()
+	a, err := r.request(s, false)
+	probed := stop()
+	s.close()
+	if err != nil {
+		return nil, err
+	}
+	r.t.check(sim.Counters().Runs == runs, "the service ran %d simulations", sim.Counters().Runs-runs)
+	return &passResult{
+		ColdCPU: seconds(a.cpu - probed), ColdSpeed: cold.factor(), Wall: seconds(a.latency),
+		Output: digestOf(r.ref),
+	}, nil
+}
+
+// warmProcess boots a service on the cache file the last cold pass
+// saved, as a restarted shserved does, and sends warmRepeats warm
+// requests, each after a reference chunk.
+func (r *frontierRun) warmProcess() (*passResult, error) {
+	defer r.client.CloseIdleConnections()
+	s, err := boot(r.client, r.cache, 0, r.o.workers())
 	if err != nil {
 		return nil, err
 	}
 	defer s.close()
-	p := &passResult{Setup: seconds(d)}
-	a, err := r.request(s, false)
-	if err != nil {
+	meter := newSpeedMeter(true)
+	p := &passResult{}
+	if p.WarmCPUMs, _, _, err = r.warmRequests(s, warmRepeats, meter); err != nil {
 		return nil, err
 	}
-	p.Wall = seconds(a.latency)
+	p.WarmSpeed = meter.factor()
 	p.Output = digestOf(r.ref)
-	// Collect the cold request's garbage before the warm requests, so
-	// they do not pay for it.
-	runtime.GC()
-	if p.WarmMs, _, _, err = r.warmRequests(s, warmRepeats); err != nil {
-		return nil, err
-	}
-	r.t.check(sim.Counters().Runs == runs, "the service ran %d simulations", sim.Counters().Runs-runs)
 	return p, nil
 }
 
@@ -365,7 +394,7 @@ func (r *frontierRun) traced(v values) error {
 
 	hits0, _ := s.runner.Cache.Stats()
 	computed0 := s.runner.Stats().Computed
-	_, overhead, size, err := r.warmRequests(s, tracedWarmRepeats)
+	_, overhead, size, err := r.warmRequests(s, tracedWarmRepeats, nil)
 	if err != nil {
 		s.close()
 		return err

@@ -1,15 +1,16 @@
 // Command perfbench is the repository benchmark. It runs one workload
-// in-process on a two-worker campaign runner, checks the program's
-// outputs, and prints one JSON result line as the last line of
-// standard output:
+// on a campaign runner, checks the program's outputs, and prints one
+// JSON result line as the last line of standard output:
 //
 //	{"correct": true, "attempted": N, "failed": 0, "metrics": {...}}
 //
-// An untraced run (--trace 0) reports the end-to-end metrics; a traced
-// run (--trace 1) times the layers from outside — around their public
-// calls, from the span trees noc.NewObservedRunner records, and from
-// counter deltas — and reports the per-layer metrics, its own overhead,
-// and how much of the jobs' compute time it attributes to named layers.
+// An untraced run (--trace 0) reports the end-to-end metrics, whose
+// times are CPU times on one processor scaled to the host's nominal
+// speed (see passes.go and speed.go); a traced run (--trace 1) times
+// the layers from outside — around their public calls, from the span
+// trees noc.NewObservedRunner records, and from counter deltas — and
+// reports the per-layer metrics, its own overhead, and how much of the
+// jobs' compute time it attributes to named layers.
 // BENCHMARK.json lists the workloads and metrics. Run it from the
 // repository root:
 //
@@ -31,7 +32,8 @@ import (
 )
 
 const (
-	// workers is the campaign runner's pool size on every workload.
+	// workers is the campaign runner's pool size, and GOMAXPROCS, in
+	// traced runs (see measuredWorkers for untraced ones).
 	workers = 2
 	// defaultSeed is the seed whose outputs are recorded under
 	// testdata/.
@@ -87,7 +89,7 @@ var workloadNames = []string{"paper-predict", "load-sweep", "frontier-svc"}
 
 func main() {
 	if env := os.Getenv(passEnv); env != "" {
-		runtime.GOMAXPROCS(workers)
+		runtime.GOMAXPROCS(measuredWorkers)
 		os.Exit(childMain(env, os.Stdout, os.Stderr))
 	}
 	o, err := parseFlags(os.Args[1:])
@@ -95,7 +97,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(2)
 	}
-	runtime.GOMAXPROCS(workers)
+	runtime.GOMAXPROCS(o.workers())
 	res, err := run(o, os.Stderr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
@@ -110,6 +112,16 @@ func main() {
 	if !res.Correct {
 		os.Exit(1)
 	}
+}
+
+// workers returns the runner's pool size and GOMAXPROCS for the run:
+// a traced run measures the layers as the toolchain runs them, an
+// untraced run as its measured passes run.
+func (o options) workers() int {
+	if o.trace {
+		return workers
+	}
+	return measuredWorkers
 }
 
 // parseFlags reads the driver's command line.
@@ -173,6 +185,7 @@ func run(o options, log io.Writer) (*result, error) {
 	catalog := endToEnd
 	if o.trace {
 		catalog = perLayer
+		v["go.peak_rss_mb"] = peakRSSMB()
 		v.setZero(perLayer)
 	} else {
 		if _, ok := v["table3_err_area_pct"]; !ok {

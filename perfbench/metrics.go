@@ -14,11 +14,11 @@ import (
 type metric struct{ name, unit string }
 
 // endToEnd are the figures a user of the toolchain sees. Untraced
-// runs report all of them on every workload.
+// runs report all of them on every workload; times are CPU times on
+// one processor at the host's nominal speed (see passes.go).
 var endToEnd = []metric{
-	{"wall_s", "s"},
+	{"cold_s", "s"},
 	{"setup_s", "s"},
-	{"peak_rss_mb", "MB"},
 	{"ok_ratio", "ratio"},
 	{"warm_p50_ms", "ms"},
 	{"warm_p90_ms", "ms"},
@@ -90,10 +90,12 @@ var perLayer = []metric{
 	{"spec.parse_expand_ms", "ms"},
 	{"report.csv_ms", "ms"},
 	{"trace.read_ms", "ms"},
-	// Go runtime, over the traced cold pass.
+	// Go runtime, over the traced cold pass, and the traced run's peak
+	// resident set.
 	{"go.gc_cycles", "count"},
 	{"go.alloc_mb", "MB"},
 	{"go.gc_pause_ms", "ms"},
+	{"go.peak_rss_mb", "MB"},
 	// The traced run itself.
 	{"bench.trace_overhead_pct", "%"},
 	{"bench.ledger_coverage_pct", "%"},
