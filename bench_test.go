@@ -428,6 +428,7 @@ func BenchmarkPhysEvaluate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := phys.Evaluate(arch, shg); err != nil {

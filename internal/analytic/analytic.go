@@ -51,9 +51,11 @@ func (m *Model) Validate() error {
 	return nil
 }
 
-// linkLatencyOf returns the latency of the (undirected) link a-b.
-func (m *Model) linkLatencyOf() map[[2]int]int {
-	lat := make(map[[2]int]int, m.Topo.NumLinks())
+// linkLatencies returns the latency of every link as a dense n x n
+// table indexed by tile pair a*n+b, filled in both directions.
+func (m *Model) linkLatencies() []int {
+	n := m.Topo.NumTiles()
+	lat := make([]int, n*n)
 	for i, l := range m.Topo.Links() {
 		v := 1
 		if m.LinkLatency != nil {
@@ -63,10 +65,7 @@ func (m *Model) linkLatencyOf() map[[2]int]int {
 			}
 		}
 		a, b := m.Topo.Index(l.A), m.Topo.Index(l.B)
-		if a > b {
-			a, b = b, a
-		}
-		lat[[2]int{a, b}] = v
+		lat[a*n+b], lat[b*n+a] = v, v
 	}
 	return lat
 }
@@ -80,7 +79,7 @@ func (m *Model) ZeroLoadLatency() (float64, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
-	lat := m.linkLatencyOf()
+	lat := m.linkLatencies()
 	n := m.Topo.NumTiles()
 	var sum float64
 	var pairs int
@@ -92,11 +91,7 @@ func (m *Model) ZeroLoadLatency() (float64, error) {
 			p := m.Routing.Path(s, d)
 			cycles := (p.Hops() + 1) * m.RouterDelay // per-hop routers + injection router
 			for i := 0; i+1 < len(p.Tiles); i++ {
-				a, b := int(p.Tiles[i]), int(p.Tiles[i+1])
-				if a > b {
-					a, b = b, a
-				}
-				cycles += lat[[2]int{a, b}]
+				cycles += lat[int(p.Tiles[i])*n+int(p.Tiles[i+1])]
 			}
 			cycles += m.PacketLen - 1 // tail flit serialization
 			sum += float64(cycles)
@@ -161,14 +156,16 @@ type Estimate struct {
 // scores every configuration on exactly this pair — the combined
 // sweep halves the dominant cost. Results are identical to the
 // separate methods (same paths, same arithmetic, only the iteration
-// is shared).
+// is shared), and bit-identical from call to call.
 func (m *Model) Estimate() (Estimate, error) {
 	if err := m.Validate(); err != nil {
 		return Estimate{}, err
 	}
-	lat := m.linkLatencyOf()
+	lat := m.linkLatencies()
 	n := m.Topo.NumTiles()
-	loads := make(map[[2]int]float64)
+	// Directed channel loads indexed like lat (a*n+b for channel a->b),
+	// summed below in index order so every call rounds identically.
+	loads := make([]float64, n*n)
 	per := 1.0 / float64(n-1)
 	var sum float64
 	var pairs int
@@ -180,12 +177,9 @@ func (m *Model) Estimate() (Estimate, error) {
 			p := m.Routing.Path(s, d)
 			cycles := (p.Hops() + 1) * m.RouterDelay
 			for i := 0; i+1 < len(p.Tiles); i++ {
-				a, b := int(p.Tiles[i]), int(p.Tiles[i+1])
-				loads[[2]int{a, b}] += per
-				if a > b {
-					a, b = b, a
-				}
-				cycles += lat[[2]int{a, b}]
+				ch := int(p.Tiles[i])*n + int(p.Tiles[i+1])
+				loads[ch] += per
+				cycles += lat[ch]
 			}
 			cycles += m.PacketLen - 1
 			sum += float64(cycles)

@@ -191,3 +191,30 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestEstimateDeterministic checks that repeated Estimate calls on the
+// same model return bit-identical values. The design-space surrogate
+// ranks and caches these numbers, so a float summed in a different
+// order from one call to the next would reorder ties between runs.
+func TestEstimateDeterministic(t *testing.T) {
+	space, err := topo.HammingSpace(7, 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(space); i += len(space) / 8 {
+		m := model(t)(topo.NewSparseHamming(7, 8, space[i]))
+		first, err := m.Estimate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 30; k++ {
+			got, err := m.Estimate()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != first {
+				t.Fatalf("config %d call %d: %+v, first call %+v", i, k, got, first)
+			}
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package phys
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"sparsehamming/internal/topo"
 )
@@ -16,7 +18,8 @@ import (
 // Because channel spacing is S = f_wires→mm(NL * f_bw→wires(B)) =
 // NL * cell size, a channel with NL tracks is exactly NL cells wide,
 // so the cell grid is assembled directly from tile blocks and track
-// counts.
+// counts. The grid stays implicit: only the cell origins of tiles and
+// channels are stored, and step 5 records occupancy as wire segments.
 func (p *plan) buildCellGrid() {
 	n := p.arch.Node
 	p.cellH = n.HWiresToMm(p.wiresPerLink)
@@ -51,8 +54,9 @@ func (p *plan) buildCellGrid() {
 	}
 	p.cellsY = y
 
-	p.hOcc = make([]uint16, p.cellsX*p.cellsY)
-	p.vOcc = make([]uint16, p.cellsX*p.cellsY)
+	// A route marks at most two segments per direction.
+	p.hSegs = make([]segment, 0, 2*len(p.routes))
+	p.vSegs = make([]segment, 0, 2*len(p.routes))
 }
 
 // portSlot allocates the next free stub position on a tile face and
@@ -88,8 +92,9 @@ func (p *plan) portSlot(tile int, face byte) int {
 }
 
 // detailedRoute performs step 5: realize every route as a rectilinear
-// path in the unit-cell grid, mark directional occupancy for the power
-// model, count collisions, and derive per-link lengths and latencies.
+// path in the unit-cell grid, record its wire segments by direction
+// for the occupancy and collision counts, and derive per-link lengths
+// and latencies.
 func (p *plan) detailedRoute() {
 	links := p.topo.Links()
 	p.linkLenMm = make([]float64, len(links))
@@ -247,40 +252,59 @@ func (p *plan) markStubH(g, trackX, y, col int) int {
 }
 
 // markH marks cells [x1,x2] on row y as containing a horizontal wire
-// segment and returns the number of cells marked. Collisions (a cell
-// already claimed by another horizontal segment) are counted.
+// segment and returns the number of cells marked.
 func (p *plan) markH(x1, x2, y int) int {
 	if x1 > x2 {
 		return 0
 	}
 	x1, x2 = clamp(x1, 0, p.cellsX-1), clamp(x2, 0, p.cellsX-1)
 	y = clamp(y, 0, p.cellsY-1)
-	for x := x1; x <= x2; x++ {
-		idx := y*p.cellsX + x
-		p.hOcc[idx]++
-		if p.hOcc[idx] > 1 {
-			p.collisions++
-		}
-	}
+	p.hSegs = append(p.hSegs, segment{line: y, lo: x1, hi: x2})
 	return x2 - x1 + 1
 }
 
 // markV marks cells [y1,y2] on column x as containing a vertical wire
-// segment.
+// segment and returns the number of cells marked.
 func (p *plan) markV(y1, y2, x int) int {
 	if y1 > y2 {
 		return 0
 	}
 	y1, y2 = clamp(y1, 0, p.cellsY-1), clamp(y2, 0, p.cellsY-1)
 	x = clamp(x, 0, p.cellsX-1)
-	for y := y1; y <= y2; y++ {
-		idx := y*p.cellsX + x
-		p.vOcc[idx]++
-		if p.vOcc[idx] > 1 {
-			p.collisions++
+	p.vSegs = append(p.vSegs, segment{line: x, lo: y1, hi: y2})
+	return y2 - y1 + 1
+}
+
+// segment is a run of unit-cells [lo,hi] along one cell row (for
+// horizontal wires) or one cell column (for vertical wires).
+type segment struct {
+	line, lo, hi int
+}
+
+// countOccupancy returns the number of distinct cells the segments
+// cover and the number of collisions: marks of a cell beyond its
+// first, i.e. every cell claimed by k segments collides k-1 times.
+// It sorts segs in place.
+func countOccupancy(segs []segment) (cells, collisions int) {
+	slices.SortFunc(segs, func(a, b segment) int {
+		if a.line != b.line {
+			return cmp.Compare(a.line, b.line)
+		}
+		return cmp.Compare(a.lo, b.lo)
+	})
+	marked := 0
+	line, end := -1, -1 // end: last cell covered so far on line
+	for _, s := range segs {
+		marked += s.hi - s.lo + 1
+		if s.line != line {
+			line, end = s.line, -1
+		}
+		if s.hi > end {
+			cells += s.hi - max(s.lo, end+1) + 1
+			end = s.hi
 		}
 	}
-	return y2 - y1 + 1
+	return cells, marked - cells
 }
 
 func clamp(v, lo, hi int) int {

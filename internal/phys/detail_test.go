@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"runtime"
 	"testing"
 
 	"sparsehamming/internal/tech"
@@ -143,27 +144,96 @@ func TestMarkCollisionCounting(t *testing.T) {
 	if n := p.markH(10, 14, 5); n != 5 {
 		t.Fatalf("marked %d cells, want 5", n)
 	}
-	if p.collisions != 0 {
-		t.Fatalf("collisions after first mark = %d", p.collisions)
+	if cells, coll := countOccupancy(p.hSegs); cells != 5 || coll != 0 {
+		t.Fatalf("after first mark: %d cells, %d collisions; want 5, 0", cells, coll)
 	}
 	p.markH(12, 16, 5)
-	if p.collisions != 3 { // cells 12,13,14 double-claimed
-		t.Errorf("collisions = %d, want 3", p.collisions)
+	if cells, coll := countOccupancy(p.hSegs); cells != 7 || coll != 3 { // cells 12,13,14 double-claimed
+		t.Errorf("after overlapping mark: %d cells, %d collisions; want 7, 3", cells, coll)
 	}
-	// Vertical direction is independent: no extra collisions.
-	before := p.collisions
+	// Vertical direction is independent: crossing the horizontal
+	// cells adds vertical occupancy but no collisions.
 	p.markV(3, 7, 12)
-	if p.collisions != before {
-		t.Error("vertical mark collided with horizontal occupancy")
+	if cells, coll := countOccupancy(p.vSegs); cells != 5 || coll != 0 {
+		t.Errorf("vertical mark: %d cells, %d collisions; want 5, 0", cells, coll)
+	}
+	if cells, coll := countOccupancy(p.hSegs); cells != 7 || coll != 3 {
+		t.Errorf("vertical mark changed horizontal counts to %d cells, %d collisions", cells, coll)
 	}
 	// Degenerate/clamped ranges.
 	if n := p.markH(5, 4, 0); n != 0 {
 		t.Errorf("inverted range marked %d cells", n)
 	}
-	if n := p.markV(-10, -5, 0); n == 0 {
-		// Clamped to a single cell at the boundary; any non-negative
-		// count is fine, but it must not panic.
-		_ = n
+	// Clamped to a single cell at the boundary; it must not panic.
+	p.markV(-10, -5, 0)
+	if cells, coll := countOccupancy(p.vSegs); cells != 6 || coll != 0 {
+		t.Errorf("clamped mark: %d vertical cells, %d collisions; want 6, 0", cells, coll)
+	}
+}
+
+// TestCountOccupancy checks the segment sweep against a dense
+// per-cell count on overlapping, nested, adjacent, and duplicate
+// segments spread over several lines, given in unsorted order.
+func TestCountOccupancy(t *testing.T) {
+	segs := []segment{
+		{line: 2, lo: 4, hi: 9},
+		{line: 0, lo: 0, hi: 3},
+		{line: 2, lo: 5, hi: 6},   // nested
+		{line: 0, lo: 4, hi: 6},   // adjacent, no overlap
+		{line: 2, lo: 8, hi: 12},  // overlaps the tail
+		{line: 1, lo: 3, hi: 3},   // single cell
+		{line: 1, lo: 3, hi: 3},   // duplicate
+		{line: 2, lo: 20, hi: 21}, // disjoint on the same line
+		{line: 0, lo: 2, hi: 5},
+	}
+	dense := map[[2]int]int{}
+	for _, s := range segs {
+		for c := s.lo; c <= s.hi; c++ {
+			dense[[2]int{s.line, c}]++
+		}
+	}
+	wantCells, wantColl := 0, 0
+	for _, k := range dense {
+		wantCells++
+		wantColl += k - 1
+	}
+	cells, coll := countOccupancy(segs)
+	if cells != wantCells || coll != wantColl {
+		t.Errorf("countOccupancy = %d cells, %d collisions; dense count gives %d, %d",
+			cells, coll, wantCells, wantColl)
+	}
+	if cells, coll := countOccupancy(nil); cells != 0 || coll != 0 {
+		t.Errorf("no segments: %d cells, %d collisions", cells, coll)
+	}
+}
+
+// TestEvaluateAllocations guards the implicit cell grid: evaluating
+// the densest 7x8 sparse Hamming configuration (every offset, i.e. the
+// flattened butterfly) allocates in proportion to its links, not to
+// its chip area of about a million unit-cells.
+func TestEvaluateAllocations(t *testing.T) {
+	arch := tech.Scenario(tech.ScenarioA)
+	arch.Rows, arch.Cols = 7, 8
+	tp, err := topo.NewSparseHamming(7, 8, topo.HammingParams{
+		SR: []int{2, 3, 4, 5, 6, 7}, SC: []int{2, 3, 4, 5, 6},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Evaluate(arch, tp)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CellsX*res.CellsY < 500_000 {
+		t.Fatalf("grid of %dx%d cells is too small to guard the implicit grid", res.CellsX, res.CellsY)
+	}
+	const limit = 512 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("Evaluate allocated %d bytes, want < %d", got, limit)
 	}
 }
 

@@ -12,9 +12,14 @@
 //     from the densest section of each routing channel.
 //  4. Discretization of the chip into same-sized unit-cells, each
 //     accommodating exactly one horizontal and one vertical link.
+//     The grid is implicit: only the cell origins of tile rows and
+//     columns and of channels are stored.
 //  5. Detailed routing in the grid of unit-cells (track assignment
 //     via left-edge interval coloring, collision-avoiding stub
-//     placement).
+//     placement). Each routed wire is recorded as a segment on one
+//     cell row or column; occupancy (N^H_cell, N^V_cell) and
+//     collisions are counted by sweeping the sorted segments, so the
+//     cost grows with the number of links, not with chip area.
 //
 // The outputs (area overhead, power, per-link latencies) feed the
 // cycle-accurate simulator in package sim, mirroring the toolchain of
@@ -121,10 +126,9 @@ type plan struct {
 	cellsX, cellsY int
 
 	// Step 5.
-	hOcc, vOcc  []uint16 // per-cell segment counts by direction
-	linkLenMm   []float64
-	linkLatency []int
-	collisions  int
+	hSegs, vSegs []segment // marked wire segments by direction
+	linkLenMm    []float64
+	linkLatency  []int
 
 	// Port slot allocation: stub x/y positions per tile face.
 	portSlots map[faceKey]int
@@ -172,17 +176,8 @@ func (p *plan) results() *Result {
 	noNoC := p.arch.NoNoCAreaMm2()
 
 	nLogic := p.topo.NumTiles() * p.tileCellsX * p.tileCellsY
-	nH, nV := 0, 0
-	for _, c := range p.hOcc {
-		if c > 0 {
-			nH++
-		}
-	}
-	for _, c := range p.vOcc {
-		if c > 0 {
-			nV++
-		}
-	}
+	nH, hColl := countOccupancy(p.hSegs)
+	nV, vColl := countOccupancy(p.vSegs)
 
 	totalPower := n.LogicPower(float64(nLogic)*cellArea) +
 		n.WirePower(float64(nH+nV)*cellArea/2)
@@ -213,7 +208,7 @@ func (p *plan) results() *Result {
 		NoCPowerW:          totalPower - noNoCPower,
 		LinkLengthsMm:      p.linkLenMm,
 		LinkLatencies:      p.linkLatency,
-		Collisions:         p.collisions,
+		Collisions:         hColl + vColl,
 		ChannelUtilization: p.channelUtilization(),
 	}
 	return res
