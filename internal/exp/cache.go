@@ -161,9 +161,12 @@ func (c *Cache) Save() error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("exp: writing cache %s: %w", c.path, err)
 	}
+	// Sync before the rename: a crash after renaming an unsynced file
+	// could leave an empty or partial cache in place of the old one.
 	_, werr := tmp.Write(data)
+	serr := tmp.Sync()
 	cerr := tmp.Close()
-	if err := cmp.Or(werr, cerr); err != nil {
+	if err := cmp.Or(werr, serr, cerr); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("exp: writing cache %s: %w", c.path, err)
 	}

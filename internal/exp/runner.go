@@ -28,26 +28,6 @@ type Runner struct {
 	// job, so this holds by construction.
 	Eval func(Job) (*Result, error)
 
-	// GroupKey, when set together with EvalGroup, names the batch group
-	// a job belongs to: jobs of one Run call mapping to the same key
-	// (and not answered by the cache or another batch's flight) are
-	// dispatched to EvalGroup together instead of one Eval call each.
-	// Returning ok == false keeps the job on the per-job Eval path.
-	// The noc layer groups load-sweep jobs that share a topology build
-	// so the simulator batches them over one shared Shape.
-	GroupKey func(Job) (string, bool)
-
-	// EvalGroup computes a group of jobs in one call, returning one
-	// Result per job in input order. Like Eval it must be concurrency-
-	// safe and deterministic per job spec; each job's Result must be
-	// identical to what Eval would have produced, because group
-	// composition is scheduling-dependent (cache hits and concurrent
-	// batches peel members off) and results are cached under per-job
-	// keys. A group occupies one evaluation slot. When EvalGroup
-	// errors, the runner transparently re-evaluates every member
-	// through Eval so one bad member cannot fail its groupmates.
-	EvalGroup func([]Job) ([]*Result, error)
-
 	// Workers bounds the pool size; values <= 0 mean GOMAXPROCS. The
 	// bound is shared across concurrent Run calls (the first call
 	// fixes it).
@@ -283,77 +263,6 @@ func (r *Runner) evalUnit(u *unit) {
 	r.resolve(u.job.Key(), u.flight, u.res, u.err)
 }
 
-// evalGroup evaluates one dispatch group of owned units under a
-// single shared slot. Units the cache can answer by now are peeled
-// off first (same re-peek as evalUnit); a surviving singleton takes
-// the plain Eval path. On any group-level failure — error, wrong
-// result count, nil member result — every surviving unit falls back
-// to its own Eval call, preserving per-job failure semantics.
-func (r *Runner) evalGroup(g []*unit) {
-	if len(g) == 1 {
-		r.evalUnit(g[0])
-		return
-	}
-	var todo []*unit
-	for _, u := range g {
-		if r.Cache != nil {
-			if res, ok := r.Cache.peek(u.job.Key()); ok {
-				u.res, u.cached = res, true
-				r.resolve(u.job.Key(), u.flight, res, nil)
-				continue
-			}
-		}
-		todo = append(todo, u)
-	}
-	if len(todo) == 0 {
-		return
-	}
-	if len(todo) == 1 {
-		r.evalUnit(todo[0])
-		return
-	}
-	r.acquire()
-	t0 := time.Now()
-	jobs := make([]Job, len(todo))
-	for i, u := range todo {
-		jobs[i] = u.job
-	}
-	results, err := r.EvalGroup(jobs)
-	dur := time.Since(t0)
-	r.stats.busyNanos.Add(int64(dur))
-	r.release()
-	if err == nil && len(results) != len(todo) {
-		err = fmt.Errorf("exp: EvalGroup returned %d results for %d jobs", len(results), len(todo))
-	}
-	if err == nil {
-		for _, res := range results {
-			if res == nil {
-				err = fmt.Errorf("exp: EvalGroup returned a nil result")
-				break
-			}
-		}
-	}
-	if err != nil {
-		if r.Log != nil {
-			r.Log.Debug("group eval failed, falling back to per-job", "jobs", len(todo), "err", err)
-		}
-		for _, u := range todo {
-			r.evalUnit(u)
-		}
-		return
-	}
-	share := dur / time.Duration(len(todo))
-	for i, u := range todo {
-		u.res, u.dur = results[i], share
-		if r.Cache != nil {
-			r.Cache.Put(u.job, u.res)
-		}
-		r.resolve(u.job.Key(), u.flight, u.res, nil)
-	}
-	r.stats.groups.Add(1)
-	r.stats.groupedJobs.Add(int64(len(todo)))
-}
-
 // abandon resolves an owned flight with the batch's context error so
 // waiters in other batches can reclaim the key and evaluate it
 // themselves instead of blocking forever.
@@ -477,70 +386,39 @@ func (r *Runner) run(ctx context.Context, jobs []Job, progress func(ProgressEven
 		}(u)
 	}
 
-	// Owned units are dispatched in groups: with GroupKey/EvalGroup
-	// configured, units sharing a group key travel to a worker together
-	// (in first-seen order) and are evaluated in one EvalGroup call;
-	// otherwise every unit is its own singleton group on the plain Eval
-	// path. Each group occupies one worker and one shared slot, so
-	// concurrent batches cannot oversubscribe the machine.
-	groups := make([][]*unit, 0, len(owned))
-	if r.GroupKey != nil && r.EvalGroup != nil {
-		idx := map[string]int{}
-		for _, u := range owned {
-			k, ok := r.GroupKey(u.job)
-			if !ok {
-				groups = append(groups, []*unit{u})
-				continue
-			}
-			if i, seen := idx[k]; seen {
-				groups[i] = append(groups[i], u)
-			} else {
-				idx[k] = len(groups)
-				groups = append(groups, []*unit{u})
-			}
-		}
-	} else {
-		for _, u := range owned {
-			groups = append(groups, []*unit{u})
-		}
-	}
+	// Owned units are evaluated one per worker; each evaluation holds
+	// one shared slot, so concurrent batches cannot oversubscribe the
+	// machine.
 	workers := r.effectiveWorkers()
-	if workers > len(groups) {
-		workers = len(groups)
+	if workers > len(owned) {
+		workers = len(owned)
 	}
-	work := make(chan []*unit)
+	work := make(chan *unit)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for g := range work {
+			for u := range work {
 				if err := ctx.Err(); err != nil {
-					for _, u := range g {
-						r.abandon(u, err)
-						emit(u)
-					}
-					continue
+					r.abandon(u, err)
+				} else {
+					r.evalUnit(u)
 				}
-				r.evalGroup(g)
-				for _, u := range g {
-					emit(u)
-				}
+				emit(u)
 			}
 		}()
 	}
 dispatch:
-	for i, g := range groups {
+	for i, u := range owned {
 		select {
-		case work <- g:
+		case work <- u:
 		case <-ctx.Done():
 			// Hand every undispatched flight back so waiters in
 			// other batches can take over.
-			for _, gv := range groups[i:] {
-				for _, v := range gv {
-					r.abandon(v, ctx.Err())
-					emit(v)
-				}
+			for _, v := range owned[i:] {
+				r.abandon(v, ctx.Err())
+				emit(v)
 			}
 			break dispatch
 		}

@@ -15,9 +15,6 @@ type runnerStats struct {
 
 	busyNanos atomic.Int64 // summed evaluation time across workers
 
-	groups      atomic.Int64 // multi-job EvalGroup dispatches completed
-	groupedJobs atomic.Int64 // jobs answered by those dispatches
-
 	inFlight atomic.Int64 // evaluation slots currently held
 	waiting  atomic.Int64 // goroutines blocked waiting for a slot
 }
@@ -42,12 +39,11 @@ type RunnerStats struct {
 	// pool utilization.
 	BusyNanos int64
 
-	// Groups counts completed multi-job EvalGroup dispatches and
-	// GroupedJobs the jobs they answered (jobs per group =
-	// GroupedJobs/Groups — the batching amortization at the runner
-	// level). Jobs dispatched alone, answered from the cache, or
-	// evaluated by the per-job fallback are not counted.
-	Groups      int64
+	// Deprecated: the runner no longer groups jobs; Groups always
+	// reads zero.
+	Groups int64
+	// Deprecated: the runner no longer groups jobs; GroupedJobs
+	// always reads zero.
 	GroupedJobs int64
 
 	// InFlight is the number of evaluation slots currently held
@@ -65,17 +61,15 @@ type RunnerStats struct {
 // scraping.
 func (r *Runner) Stats() RunnerStats {
 	return RunnerStats{
-		Batches:     r.stats.batches.Load(),
-		Jobs:        r.stats.jobs.Load(),
-		Computed:    r.stats.computed.Load(),
-		Cached:      r.stats.cached.Load(),
-		Shared:      r.stats.shared.Load(),
-		Failed:      r.stats.failed.Load(),
-		BusyNanos:   r.stats.busyNanos.Load(),
-		Groups:      r.stats.groups.Load(),
-		GroupedJobs: r.stats.groupedJobs.Load(),
-		InFlight:    r.stats.inFlight.Load(),
-		Waiting:     r.stats.waiting.Load(),
-		Workers:     r.effectiveWorkers(),
+		Batches:   r.stats.batches.Load(),
+		Jobs:      r.stats.jobs.Load(),
+		Computed:  r.stats.computed.Load(),
+		Cached:    r.stats.cached.Load(),
+		Shared:    r.stats.shared.Load(),
+		Failed:    r.stats.failed.Load(),
+		BusyNanos: r.stats.busyNanos.Load(),
+		InFlight:  r.stats.inFlight.Load(),
+		Waiting:   r.stats.waiting.Load(),
+		Workers:   r.effectiveWorkers(),
 	}
 }

@@ -65,6 +65,13 @@ func NewRunner(workers int, cache *exp.Cache) *exp.Runner {
 	return NewObservedRunner(workers, cache, nil)
 }
 
+// CampaignGroupKey reports no group for any job: every computed job
+// takes the runner's per-job Eval path.
+//
+// Deprecated: campaign job grouping is gone; CampaignGroupKey always
+// returns ("", false) and is kept only for existing callers.
+func CampaignGroupKey(exp.Job) (string, bool) { return "", false }
+
 // runnerSched adapts the campaign runner's shared slot pool to the
 // simulator's ProbeScheduler interface.
 type runnerSched struct{ r *exp.Runner }

@@ -1,9 +1,13 @@
 package noc
 
 import (
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"sparsehamming/internal/exp"
+	"sparsehamming/internal/sim"
 	"sparsehamming/internal/tech"
 	"sparsehamming/internal/topo"
 )
@@ -446,5 +450,59 @@ func TestCustomizeImpossibleBudget(t *testing.T) {
 	arch := tech.Scenario(tech.ScenarioA)
 	if _, err := Customize(arch, 1, Quick); err == nil {
 		t.Error("1% budget (below the mesh) should fail")
+	}
+}
+
+// mixedTierLadder is one topology predicted at every quality tier
+// with the same pattern and seed.
+func mixedTierLadder() []exp.Job {
+	return []exp.Job{
+		{Mode: exp.ModePredict, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh", Seed: 1},
+		{Mode: exp.ModePredict, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh", Seed: 1, Quality: "full"},
+		{Mode: exp.ModePredict, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh", Seed: 1, Quality: "adaptive"},
+	}
+}
+
+// TestMixedTierRerunSimulatesNothing drives the mixed-tier ladder
+// through the campaign runner twice with a persistent cache: the
+// second run must hit the cache for every job and start zero
+// simulation runs.
+func TestMixedTierRerunSimulatesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.json")
+	jobs := mixedTierLadder()
+
+	cache, err := exp.OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, rep1, err := NewRunner(0, cache).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep1.Computed != len(jobs) || rep1.CacheHits != 0 {
+		t.Errorf("first run report = %+v", rep1)
+	}
+	if err := cache.Save(); err != nil {
+		t.Fatal(err)
+	}
+
+	cache2, err := exp.OpenCache(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sim.Counters()
+	second, rep2, err := NewRunner(0, cache2).Run(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := sim.Counters()
+	if rep2.Computed != 0 || rep2.CacheHits != len(jobs) {
+		t.Errorf("second run report = %+v, want all cache hits", rep2)
+	}
+	if d := after.Runs - before.Runs; d != 0 {
+		t.Errorf("re-run started %d simulation runs, want 0", d)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Error("cached results differ from computed ones")
 	}
 }

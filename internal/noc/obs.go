@@ -40,20 +40,8 @@ var phaseNames = map[string]bool{
 func NewObservedRunner(workers int, cache *exp.Cache, hub *obs.Hub) *exp.Runner {
 	r := &exp.Runner{Workers: workers, Cache: cache}
 	sched := runnerSched{r: r}
-	// Jobs sharing one topology build are dispatched as a group: load
-	// sweeps run through one sim.Batch, predict jobs through one shared
-	// Shape (see batch.go) — instrumented or not, since grouping
-	// changes scheduling only, never results.
-	r.GroupKey = CampaignGroupKey
-	evalGroup := func(jobs []exp.Job, spans []*obs.Span) ([]*exp.Result, error) {
-		if jobs[0].Mode == exp.ModePredict {
-			return evalPredictGroup(jobs, sched, spans)
-		}
-		return evalLoadGroup(jobs, spans)
-	}
 	if hub == nil {
 		r.Eval = func(j exp.Job) (*exp.Result, error) { return evalJobSched(j, sched, nil) }
-		r.EvalGroup = func(jobs []exp.Job) ([]*exp.Result, error) { return evalGroup(jobs, nil) }
 		return r
 	}
 	r.Log = hub.Logger()
@@ -69,19 +57,6 @@ func NewObservedRunner(workers int, cache *exp.Cache, hub *obs.Hub) *exp.Runner 
 		ob.finish(j, span, err)
 		return res, err
 	}
-	r.EvalGroup = func(jobs []exp.Job) ([]*exp.Result, error) {
-		// One span tree per job, so batched jobs keep per-key traces:
-		// the batch's replicas run under "point" children of these.
-		spans := make([]*obs.Span, len(jobs))
-		for i, j := range jobs {
-			spans[i] = ob.begin(j)
-		}
-		res, err := evalGroup(jobs, spans)
-		for i, j := range jobs {
-			ob.finish(j, spans[i], err)
-		}
-		return res, err
-	}
 	RegisterMetrics(hub.Metrics, r, cache)
 	return r
 }
@@ -89,9 +64,7 @@ func NewObservedRunner(workers int, cache *exp.Cache, hub *obs.Hub) *exp.Runner 
 // jobObserver records one evaluated job's execution trace and derived
 // telemetry: begin opens the job span, finish closes it, feeds the
 // per-phase duration histograms, stores the trace under the job's
-// content key, and logs slow jobs. Both the per-job Eval path and the
-// grouped batch path share it, so batched jobs are observed exactly
-// like sequential ones.
+// content key, and logs slow jobs.
 type jobObserver struct {
 	hub    *obs.Hub
 	phases *obs.HistogramVec
@@ -159,17 +132,11 @@ func RegisterMetrics(m *obs.Registry, r *exp.Runner, cache *exp.Cache) {
 		"Speculative probes abandoned because a sibling's verdict made them irrelevant.",
 		func() float64 { return float64(sim.Counters().ProbesCanceled) })
 	m.CounterFunc("sh_sim_shape_builds_total",
-		"Shared topology builds (channel wiring + output-port LUT); sh_sim_builds_total / this is the batched engine's build amortization.",
+		"Shared topology builds (channel wiring + output-port LUT); sh_sim_builds_total / this is the build work a Shape amortizes.",
 		func() float64 { return float64(sim.Counters().ShapeBuilds) })
 	m.CounterFunc("sh_sim_builds_total",
-		"Simulator replica instantiations (each used to pay a full topology build).",
+		"Simulator run instantiations over a shared Shape.",
 		func() float64 { return float64(sim.Counters().SimBuilds) })
-	m.CounterFunc("sh_sim_batches_total",
-		"Interleaved multi-replica batch passes executed.",
-		func() float64 { return float64(sim.Counters().Batches) })
-	m.CounterFunc("sh_sim_batch_replicas_total",
-		"Replicas stepped by interleaved batch passes.",
-		func() float64 { return float64(sim.Counters().BatchReplicas) })
 	m.Func("sh_sim_verdicts_total",
 		"Completed simulation runs by how they ended.",
 		obs.KindCounter, []string{"verdict"}, func() []obs.Sample {
@@ -200,12 +167,6 @@ func RegisterMetrics(m *obs.Registry, r *exp.Runner, cache *exp.Cache) {
 		m.CounterFunc("sh_runner_busy_seconds_total",
 			"Evaluation wall-time summed across workers.",
 			func() float64 { return float64(r.Stats().BusyNanos) / 1e9 })
-		m.CounterFunc("sh_runner_groups_total",
-			"Multi-job group dispatches completed (batched load sweeps).",
-			func() float64 { return float64(r.Stats().Groups) })
-		m.CounterFunc("sh_runner_grouped_jobs_total",
-			"Jobs answered by multi-job group dispatches.",
-			func() float64 { return float64(r.Stats().GroupedJobs) })
 		m.GaugeFunc("sh_runner_evals_in_flight",
 			"Evaluation slots currently held (including borrowed probe slots).",
 			func() float64 { return float64(r.Stats().InFlight) })

@@ -128,6 +128,44 @@ func TestObservedRunnerAdaptiveSpeculativeProbes(t *testing.T) {
 	}
 }
 
+// TestObservedRunnerLoadJobsTracedPerJob runs a same-topology load
+// ladder through an observed runner and checks every job is traced
+// and timed on its own: each stored span tree has its own cost and
+// point children, and each progress event's Elapsed covers that job's
+// whole span rather than a share of some combined evaluation.
+func TestObservedRunnerLoadJobsTracedPerJob(t *testing.T) {
+	hub := obs.NewHub()
+	r := NewObservedRunner(1, nil, hub)
+	var events []exp.ProgressEvent
+	r.Progress = func(ev exp.ProgressEvent) { events = append(events, ev) }
+	var jobs []exp.Job
+	for _, load := range []float64{0.05, 0.2, 0.5} {
+		jobs = append(jobs, exp.Job{Mode: exp.ModeLoad, Scenario: "a", Rows: 4, Cols: 4, Topo: "mesh", Load: load, Seed: 1})
+	}
+	if _, _, err := r.Run(jobs); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != len(jobs) {
+		t.Fatalf("%d progress events for %d jobs", len(events), len(jobs))
+	}
+	for _, ev := range events {
+		root := hub.Traces.Get(ev.Job.Key())
+		if root == nil {
+			t.Errorf("%s: no trace recorded", ev.Job)
+			continue
+		}
+		if root.Find("cost") == nil || root.Find("point") == nil {
+			t.Errorf("%s: span tree lacks cost or point children: %v", ev.Job, names(root))
+		}
+		if ev.Elapsed <= 0 {
+			t.Errorf("%s: Elapsed = %v, want > 0", ev.Job, ev.Elapsed)
+		}
+		if d := root.Duration(); ev.Elapsed < d {
+			t.Errorf("%s: Elapsed %v is shorter than the job's own span %v", ev.Job, ev.Elapsed, d)
+		}
+	}
+}
+
 // TestSimCountersMonotonic pins the run-boundary counter contract:
 // more simulation can only move the process-wide counters up.
 func TestSimCountersMonotonic(t *testing.T) {

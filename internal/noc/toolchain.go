@@ -167,20 +167,6 @@ func predictSeeded(arch *tech.Arch, t *topo.Topology, routing, pattern string, q
 		return nil, fmt.Errorf("noc: %d VCs cannot host the %d VC classes of %s",
 			arch.Proto.NumVCs, r.NumClasses, r.Name)
 	}
-	return predictShaped(nil, arch, t, cost, r, pattern, quality, seed, nil, sched, span)
-}
-
-// predictShaped is the simulation half of predictSeeded, with the
-// cost model and routing already resolved and an optional pre-built
-// simulator Shape. The grouped predict evaluator resolves those once
-// per topology and calls this per quality tier/seed, sharing the one
-// Shape across all of them; a nil sh falls back to the per-call build
-// inside the saturation search. anchor, when non-nil, shares the
-// zero-load reference run between the quality tiers of one
-// (pattern, seed) — the caller must key anchors as
-// sim.ZeroLoadScheduleKey requires. Results are bit-identical either
-// way.
-func predictShaped(sh *sim.Shape, arch *tech.Arch, t *topo.Topology, cost *phys.Result, r *route.Routing, pattern string, quality Quality, seed int64, anchor *sim.ZeroLoadAnchor, sched sim.ProbeScheduler, span *obs.Span) (*Prediction, error) {
 	pat, err := sim.PatternByName(pattern, t.Rows, t.Cols)
 	if err != nil {
 		return nil, err
@@ -204,12 +190,7 @@ func predictShaped(sh *sim.Shape, arch *tech.Arch, t *topo.Topology, cost *phys.
 		Sched:       sched,
 		Span:        satSpan,
 	}
-	var sat sim.SaturationResult
-	if sh != nil {
-		sat, err = sim.SaturationThroughputAnchored(sh, base, anchor)
-	} else {
-		sat, err = sim.SaturationThroughput(base)
-	}
+	sat, err := sim.SaturationThroughput(base)
 	satSpan.SetAttr("probes", sat.Probes)
 	satSpan.End()
 	if err != nil {

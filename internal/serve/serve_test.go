@@ -347,78 +347,6 @@ func TestConcurrentSameSpecSharesCache(t *testing.T) {
 	}
 }
 
-// TestConcurrentSameSpecSharesCacheBatched is the grouped-dispatch
-// variant of TestConcurrentSameSpecSharesCache: the runner batches
-// the spec's jobs into one EvalGroup dispatch, a second concurrent
-// submission of the same spec still computes zero jobs itself, and
-// both campaigns serve identical results.
-func TestConcurrentSameSpecSharesCacheBatched(t *testing.T) {
-	var dispatches atomic.Int64
-	release := make(chan struct{})
-	started := make(chan struct{}, 8)
-	runner := &exp.Runner{
-		Workers: 2,
-		Cache:   exp.NewCache(),
-		Eval:    func(j exp.Job) (*exp.Result, error) { return stubEval(j) },
-		// Every cost job of the spec lands in one group.
-		GroupKey: func(j exp.Job) (string, bool) { return "all", true },
-		EvalGroup: func(jobs []exp.Job) ([]*exp.Result, error) {
-			dispatches.Add(1)
-			select {
-			case started <- struct{}{}:
-			default:
-			}
-			<-release
-			out := make([]*exp.Result, len(jobs))
-			for i, j := range jobs {
-				res, err := stubEval(j)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = res
-			}
-			return out, nil
-		},
-	}
-	srv := serve.New(serve.Config{Runner: runner, Executors: 2})
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-
-	first := submit(t, ts, costSpecJSON)
-	<-started // the first campaign's group dispatch is in flight
-	second := submit(t, ts, costSpecJSON)
-	close(release)
-
-	a := waitTerminal(t, srv, first.ID)
-	b := waitTerminal(t, srv, second.ID)
-	if a.Status != serve.StatusDone || b.Status != serve.StatusDone {
-		t.Fatalf("statuses: %s / %s", a.Status, b.Status)
-	}
-	if got := dispatches.Load(); got != 1 {
-		t.Errorf("group dispatches = %d, want 1 (the spec's jobs, once)", got)
-	}
-	if b.Progress.Computed != 0 {
-		t.Errorf("second campaign computed %d jobs, want 0 (progress %+v)", b.Progress.Computed, b.Progress)
-	}
-	if b.Progress.Shared+b.Progress.CacheHits != 3 {
-		t.Errorf("second campaign shared+cached = %d, want 3 (progress %+v)", b.Progress.Shared+b.Progress.CacheHits, b.Progress)
-	}
-
-	csv := func(id string) string {
-		resp, err := http.Get(ts.URL + "/v1/campaigns/" + id + "/results?format=csv")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return string(body)
-	}
-	if csv(first.ID) != csv(second.ID) {
-		t.Error("campaigns of the same spec served different CSV bytes")
-	}
-}
-
 func TestEventsStream(t *testing.T) {
 	srv, ts := newTestServer(t, stubEval, 1)
 	snap := submit(t, ts, costSpecJSON)

@@ -135,12 +135,8 @@ func (p *prober) budgetCap() int64 {
 }
 
 // adaptiveSaturation is the Control-enabled saturation search over
-// the search's shared Shape. anchor, when non-nil, memoizes the
-// zero-load reference run across sibling searches (see
-// SaturationThroughputAnchored); the adaptive tier can share it with
-// the fixed tiers because its zero-load run is pinned to the same
-// fixed schedule (the per-probe controller never attaches to it).
-func adaptiveSaturation(sh *Shape, cfg Config, anchor *ZeroLoadAnchor) (SaturationResult, error) {
+// the search's shared Shape.
+func adaptiveSaturation(sh *Shape, cfg Config) (SaturationResult, error) {
 	p := &prober{
 		cfg:     cfg,
 		sh:      sh,
@@ -160,7 +156,7 @@ func adaptiveSaturation(sh *Shape, cfg Config, anchor *ZeroLoadAnchor) (Saturati
 	// in lockstep with the fixed-budget search.
 	zc := p.cfg
 	zc.Span = p.span.Child("zeroload")
-	zlStats, err := anchoredZeroLoad(sh, zc, anchor)
+	zlStats, err := zeroLoad(sh, zc)
 	zc.Span.End()
 	if err != nil {
 		return SaturationResult{}, err

@@ -23,9 +23,9 @@ import (
 	"sparsehamming/internal/topo"
 )
 
-// benchRec collects the batch-engine benchmark entries; TestMain
-// flushes them to the repository's perf trajectory after a -bench run
-// so `cmd/shperf -check` guards the batched path.
+// benchRec collects the engine benchmark entries; TestMain flushes
+// them to the repository's perf trajectory after a -bench run so
+// `cmd/shperf -check` guards them.
 var benchRec = perf.NewRecorder()
 
 // TestMain appends recorded measurements to the perf trajectory. The
@@ -250,8 +250,8 @@ func BenchmarkEngineSoASpeedup(b *testing.B) {
 	benchRec.Set(entry)
 }
 
-// benchLadderConfig returns the 8x8-mesh base configuration the batch
-// benchmarks share.
+// benchLadderConfig returns the 8x8-mesh base configuration the
+// shape and ladder benchmarks share.
 func benchLadderConfig(b *testing.B) Config {
 	b.Helper()
 	m, err := topo.NewMesh(8, 8)
@@ -269,13 +269,13 @@ func benchLadderConfig(b *testing.B) Config {
 	}
 }
 
-// benchLadderRates is the 8-point load ladder the batch benchmarks
-// sweep — the shape of a Figure 6 load sweep.
+// benchLadderRates is the 8-point load ladder BenchmarkSequentialLadder
+// sweeps — the shape of a Figure 6 load sweep.
 var benchLadderRates = []float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9}
 
 // BenchmarkShapeBuild times the shared build product alone: channel
-// wiring plus the pathPorts LUT — the per-topology cost a batch pays
-// once.
+// wiring plus the pathPorts LUT — the per-topology cost a saturation
+// search or load curve pays once.
 func BenchmarkShapeBuild(b *testing.B) {
 	cfg := benchLadderConfig(b)
 	meter := perf.StartMeter()
@@ -289,10 +289,10 @@ func BenchmarkShapeBuild(b *testing.B) {
 	benchRec.Set(meter.Done("ShapeBuild", b.N))
 }
 
-// BenchmarkInstantiateFromShape times the per-replica remainder: the
-// mutable VC rings, credits, and arbiter state a batch pays per
-// replica. ShapeBuild ns/op over this ns/op is the per-replica build
-// saving of sharing a shape.
+// BenchmarkInstantiateFromShape times the per-run remainder: the
+// mutable VC lanes, credits, and arbiter state every run pays.
+// ShapeBuild ns/op over this ns/op is the per-run build saving of
+// sharing a shape.
 func BenchmarkInstantiateFromShape(b *testing.B) {
 	cfg := benchLadderConfig(b)
 	sh, err := NewShape(cfg)
@@ -310,38 +310,8 @@ func BenchmarkInstantiateFromShape(b *testing.B) {
 	benchRec.Set(meter.Done("InstantiateFromShape", b.N))
 }
 
-// BenchmarkBatchLadder runs the 8-point load ladder as one
-// interleaved Batch — one shape build, eight replicas.
-func BenchmarkBatchLadder(b *testing.B) {
-	cfg := benchLadderConfig(b)
-	meter := perf.StartMeter()
-	var cycles int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reps := make([]Replica, len(benchLadderRates))
-		for j, r := range benchLadderRates {
-			reps[j] = Replica{InjectionRate: r, Seed: int64(i + 1)}
-		}
-		batch, err := NewBatch(cfg, reps)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, st := range batch.Run() {
-			cycles += st.Cycles
-		}
-	}
-	elapsed := meter.Elapsed()
-	cyPerSec := float64(cycles) / elapsed.Seconds()
-	b.ReportMetric(cyPerSec/1e6, "Msimcy/s")
-	entry := meter.Done("BatchLadder", b.N)
-	entry.CyclesPerSec = cyPerSec
-	benchRec.Set(entry)
-}
-
-// BenchmarkSequentialLadder runs the same 8-point ladder the
-// pre-batching way — one full build per point — as the baseline for
-// BenchmarkBatchLadder.
+// BenchmarkSequentialLadder runs the 8-point ladder with one full
+// build per point.
 func BenchmarkSequentialLadder(b *testing.B) {
 	cfg := benchLadderConfig(b)
 	meter := perf.StartMeter()

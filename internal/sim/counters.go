@@ -22,12 +22,8 @@ var counters struct {
 	probesSpeculated atomic.Int64
 	probesCanceled   atomic.Int64
 
-	shapeBuilds   atomic.Int64
-	simBuilds     atomic.Int64
-	batches       atomic.Int64
-	batchReplicas atomic.Int64
-
-	anchorReuses atomic.Int64
+	shapeBuilds atomic.Int64
+	simBuilds   atomic.Int64
 }
 
 // CounterSnapshot is a point-in-time copy of the process-wide
@@ -61,20 +57,21 @@ type CounterSnapshot struct {
 	ProbesCanceled   int64
 
 	// ShapeBuilds counts shared topology builds (Shape constructions:
-	// channel wiring + output-port LUT) and SimBuilds counts replica
-	// instantiations; their ratio SimBuilds/ShapeBuilds is the batched
-	// engine's build-work amortization factor (every replica used to
-	// pay a full shape build).
+	// channel wiring + output-port LUT) and SimBuilds counts run
+	// instantiations; their ratio SimBuilds/ShapeBuilds is the build
+	// work a Shape amortizes within one saturation search or load
+	// curve.
 	ShapeBuilds int64
 	SimBuilds   int64
-	// Batches counts interleaved Batch.Run passes and BatchReplicas the
-	// replicas they stepped.
-	Batches       int64
-	BatchReplicas int64
 
-	// AnchorReuses counts saturation searches that reused a shared
-	// zero-load reference run (see ZeroLoadAnchor) instead of
-	// simulating their own.
+	// Deprecated: the batched multi-replica engine is gone; Batches
+	// always reads zero.
+	Batches int64
+	// Deprecated: the batched multi-replica engine is gone;
+	// BatchReplicas always reads zero.
+	BatchReplicas int64
+	// Deprecated: zero-load anchor sharing across quality tiers is
+	// gone; AnchorReuses always reads zero.
 	AnchorReuses int64
 }
 
@@ -94,9 +91,6 @@ func Counters() CounterSnapshot {
 		ProbesCanceled:      counters.probesCanceled.Load(),
 		ShapeBuilds:         counters.shapeBuilds.Load(),
 		SimBuilds:           counters.simBuilds.Load(),
-		Batches:             counters.batches.Load(),
-		BatchReplicas:       counters.batchReplicas.Load(),
-		AnchorReuses:        counters.anchorReuses.Load(),
 	}
 }
 

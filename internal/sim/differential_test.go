@@ -1,21 +1,14 @@
 package sim
 
-// Differential equivalence harness for the batched engine: a seeded
-// generator draws random (topology family, routing, pattern, load,
-// seed, control on/off) tuples, runs each tuple once through the
-// sequential Simulator.Run path and once as a replica of an
-// interleaved Batch, and asserts the two Stats are bit-identical
-// field by field. This is the proof obligation behind every layer
-// above the engine — the cache, the CSV guarantees, and the parity
-// tests all assume batched == sequential at the bit level.
+// Differential corpus: the topology families, routings, loads, and
+// configuration tuples the engine differential sweeps (soa_test.go)
+// draw from, plus the Shape compatibility checks.
 
 import (
-	"math/rand"
 	"testing"
 
 	"sparsehamming/internal/route"
 	"sparsehamming/internal/topo"
-	"sparsehamming/internal/trace"
 )
 
 // diffFamily is one topology family instance the generator draws
@@ -87,216 +80,8 @@ func (dc diffCase) diffConfig(t *testing.T, tp *topo.Topology, rt *route.Routing
 	return cfg
 }
 
-// TestBatchedMatchesSequentialDifferential is the harness entry
-// point: 36 batches of 3 replicas each (108 generated configurations,
-// every family represented) in full mode, a quarter of that under
-// -short. Each batch mixes loads, seeds, patterns, and control modes,
-// so replicas finish at different cycles and the interleaver's
-// early-exit path is always exercised.
-func TestBatchedMatchesSequentialDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(0xD1FFE12E))
-	batches := 36
-	if testing.Short() {
-		batches = 9
-	}
-	const replicasPerBatch = 3
-	patterns := PatternNames()
-
-	covered := map[string]bool{}
-	total := 0
-	for b := 0; b < batches; b++ {
-		fam := diffFamilies[b%len(diffFamilies)]
-		covered[fam.kind] = true
-		tp, err := topo.ByName(fam.kind, fam.rows, fam.cols, fam.sr, fam.sc)
-		if err != nil {
-			t.Fatalf("topology %s: %v", fam.kind, err)
-		}
-		routing := diffRoutings[rng.Intn(len(diffRoutings))]
-		rt, err := route.ForName(tp, routing)
-		if err != nil {
-			t.Fatalf("routing %q on %s: %v", routing, fam.kind, err)
-		}
-
-		// Draw the batch's replica tuples.
-		cases := make([]diffCase, replicasPerBatch)
-		for i := range cases {
-			pattern := patterns[rng.Intn(len(patterns))]
-			if _, err := PatternByName(pattern, fam.rows, fam.cols); err != nil {
-				pattern = "uniform" // pattern unsupported on this grid
-			}
-			cases[i] = diffCase{
-				family:  fam,
-				routing: routing,
-				pattern: pattern,
-				load:    diffLoads[rng.Intn(len(diffLoads))],
-				seed:    rng.Int63n(1 << 32),
-				control: rng.Intn(2) == 1,
-			}
-		}
-
-		// Sequential reference: each tuple through the classic
-		// build-and-run path.
-		want := make([]Stats, len(cases))
-		for i, dc := range cases {
-			st, err := RunConfig(dc.diffConfig(t, tp, rt))
-			if err != nil {
-				t.Fatalf("sequential %+v: %v", dc, err)
-			}
-			want[i] = st
-		}
-
-		// Batched: the same tuples as replicas of one interleaved
-		// batch over one shared shape. The base carries the shared
-		// fields; per-replica deltas carry the rest.
-		base := cases[0].diffConfig(t, tp, rt)
-		base.Control = nil
-		reps := make([]Replica, len(cases))
-		for i, dc := range cases {
-			cfg := dc.diffConfig(t, tp, rt)
-			reps[i] = Replica{
-				InjectionRate: cfg.InjectionRate,
-				Seed:          cfg.Seed,
-				Pattern:       cfg.Pattern,
-				Warmup:        cfg.Warmup,
-				Measure:       cfg.Measure,
-				Drain:         cfg.Drain,
-				Control:       cfg.Control,
-			}
-		}
-		batch, err := NewBatch(base, reps)
-		if err != nil {
-			t.Fatalf("NewBatch %s: %v", fam.kind, err)
-		}
-		got := batch.Run()
-
-		for i := range cases {
-			total++
-			// Stats has only scalar fields, so == is a field-by-field
-			// bit-identity check.
-			if got[i] != want[i] {
-				t.Errorf("%s routing=%q %+v:\nbatched    %+v\nsequential %+v",
-					fam.kind, routing, cases[i], got[i], want[i])
-			}
-		}
-	}
-
-	if !testing.Short() {
-		if total < 100 {
-			t.Fatalf("harness covered %d configurations, want >= 100", total)
-		}
-		for _, fam := range diffFamilies {
-			if !covered[fam.kind] {
-				t.Errorf("family %s never drawn", fam.kind)
-			}
-		}
-	}
-	t.Logf("verified %d configurations across %d families", total, len(covered))
-}
-
-// TestBatchedMatchesSequentialReplayDifferential extends the harness
-// to trace-driven injection: for every 4x4 family, replicas replaying
-// generated application traces — mixed generators, load scales, and
-// control modes within one batch — must match their sequential runs
-// bit for bit. This is the guarantee that lets the load-sweep ladder
-// (LoadLatencyCurve and the spec "load" mode) batch trace jobs.
-func TestBatchedMatchesSequentialReplayDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x7EACE))
-	generators := trace.GeneratorNames()
-	scales := []float64{0.25, 0.5, 1.0}
-
-	// Pre-generate one trace per generator; replicas draw from these.
-	traces := make([]*Replay, len(generators))
-	for i, g := range generators {
-		tr, err := trace.Generate(g, trace.GenConfig{
-			Rows: 4, Cols: 4, Cycles: 1200, Seed: int64(100 + i), Rate: 0.3,
-		})
-		if err != nil {
-			t.Fatalf("generate %s: %v", g, err)
-		}
-		if traces[i], err = NewReplay(g, tr); err != nil {
-			t.Fatalf("replay %s: %v", g, err)
-		}
-	}
-
-	total := 0
-	for _, fam := range diffFamilies {
-		if fam.rows != 4 || fam.cols != 4 {
-			continue // the generated traces are 4x4
-		}
-		tp, err := topo.ByName(fam.kind, fam.rows, fam.cols, fam.sr, fam.sc)
-		if err != nil {
-			t.Fatalf("topology %s: %v", fam.kind, err)
-		}
-		rt, err := route.ForName(tp, "")
-		if err != nil {
-			t.Fatalf("routing on %s: %v", fam.kind, err)
-		}
-
-		const replicasPerBatch = 3
-		configs := make([]Config, replicasPerBatch)
-		for i := range configs {
-			cfg := Config{
-				Topo: tp, Routing: rt,
-				NumVCs: 4, BufDepth: 8,
-				RouterDelay: 2, PacketLen: 4,
-				InjectionRate: scales[rng.Intn(len(scales))],
-				Pattern:       traces[rng.Intn(len(traces))],
-				Seed:          rng.Int63n(1 << 32),
-				Warmup:        200, Measure: 500, Drain: 1500,
-			}
-			if rt.NumClasses > cfg.NumVCs {
-				cfg.NumVCs = rt.NumClasses
-			}
-			if rng.Intn(2) == 1 {
-				cfg.Control = &Control{Window: 50, RelHalfWidth: 0.05}
-			}
-			configs[i] = cfg
-		}
-
-		want := make([]Stats, len(configs))
-		for i, cfg := range configs {
-			st, err := RunConfig(cfg)
-			if err != nil {
-				t.Fatalf("sequential %s replica %d: %v", fam.kind, i, err)
-			}
-			want[i] = st
-		}
-
-		base := configs[0]
-		base.Control = nil
-		reps := make([]Replica, len(configs))
-		for i, cfg := range configs {
-			reps[i] = Replica{
-				InjectionRate: cfg.InjectionRate,
-				Seed:          cfg.Seed,
-				Pattern:       cfg.Pattern,
-				Warmup:        cfg.Warmup,
-				Measure:       cfg.Measure,
-				Drain:         cfg.Drain,
-				Control:       cfg.Control,
-			}
-		}
-		batch, err := NewBatch(base, reps)
-		if err != nil {
-			t.Fatalf("NewBatch %s: %v", fam.kind, err)
-		}
-		got := batch.Run()
-		for i := range configs {
-			total++
-			if got[i] != want[i] {
-				t.Errorf("%s replay %s scale=%g:\nbatched    %+v\nsequential %+v",
-					fam.kind, configs[i].Pattern.Name(), configs[i].InjectionRate, got[i], want[i])
-			}
-		}
-	}
-	if total < 15 {
-		t.Fatalf("replay harness covered %d configurations, want >= 15", total)
-	}
-	t.Logf("verified %d trace-driven configurations", total)
-}
-
 // TestShapeRejectsForeignConfig pins the Shape compatibility checks:
-// replicas may vary load, seed, pattern, and schedule, but never the
+// runs may vary load, seed, pattern, and schedule, but never the
 // topology, routing, or link latencies the shape was built from.
 func TestShapeRejectsForeignConfig(t *testing.T) {
 	mesh, err := topo.NewMesh(4, 4)
@@ -334,51 +119,5 @@ func TestShapeRejectsForeignConfig(t *testing.T) {
 	}
 	if _, err := sh.Instantiate(Config{Topo: mesh, Routing: rt, InjectionRate: 0.1, LinkLatency: lats}); err == nil {
 		t.Fatal("Instantiate accepted different link latencies")
-	}
-}
-
-// TestBatchCountsBuildWork pins the amortization accounting: a batch
-// of N replicas performs one shape build and N replica builds.
-func TestBatchCountsBuildWork(t *testing.T) {
-	mesh, err := topo.NewMesh(4, 4)
-	if err != nil {
-		t.Fatalf("mesh: %v", err)
-	}
-	rt, err := route.For(mesh, route.Auto)
-	if err != nil {
-		t.Fatalf("routing: %v", err)
-	}
-	base := Config{Topo: mesh, Routing: rt, Warmup: 100, Measure: 200, Drain: 600}
-	reps := []Replica{
-		{InjectionRate: 0.05, Seed: 1},
-		{InjectionRate: 0.1, Seed: 2},
-		{InjectionRate: 0.2, Seed: 3},
-		{InjectionRate: 0.4, Seed: 4},
-	}
-	before := Counters()
-	b, err := NewBatch(base, reps)
-	if err != nil {
-		t.Fatalf("NewBatch: %v", err)
-	}
-	out := b.Run()
-	after := Counters()
-
-	if n := len(out); n != len(reps) {
-		t.Fatalf("batch returned %d stats for %d replicas", n, len(reps))
-	}
-	if d := after.ShapeBuilds - before.ShapeBuilds; d != 1 {
-		t.Errorf("shape builds: got %d, want 1", d)
-	}
-	if d := after.SimBuilds - before.SimBuilds; d != int64(len(reps)) {
-		t.Errorf("replica builds: got %d, want %d", d, len(reps))
-	}
-	if d := after.Batches - before.Batches; d != 1 {
-		t.Errorf("batches: got %d, want 1", d)
-	}
-	if d := after.BatchReplicas - before.BatchReplicas; d != int64(len(reps)) {
-		t.Errorf("batch replicas: got %d, want %d", d, len(reps))
-	}
-	if d := after.Runs - before.Runs; d != int64(len(reps)) {
-		t.Errorf("runs: got %d, want %d", d, len(reps))
 	}
 }

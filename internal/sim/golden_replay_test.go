@@ -6,8 +6,7 @@ package sim
 // Trace replay draws nothing from the RNG, so these numbers are a
 // whole-stack fingerprint — the trace format, the replay scheduler,
 // and the engine's cycle loop all have to reproduce bit-identically
-// for the suite to pass. Each pinned run is additionally executed as
-// a single-replica Batch and must match the sequential Stats exactly.
+// for the suite to pass.
 //
 // Regenerate after an intentional engine change with
 //
@@ -72,9 +71,8 @@ func goldenConfig(t *testing.T, tr *trace.Trace, tier goldenTier) Config {
 	}
 }
 
-// TestGoldenReplay replays every checked-in trace at both tiers,
-// compares the Stats against the golden file, and cross-checks the
-// batched engine against the sequential run.
+// TestGoldenReplay replays every checked-in trace at both tiers and
+// compares the Stats against the golden file.
 func TestGoldenReplay(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "traces", "*.trace"))
 	if err != nil {
@@ -106,15 +104,6 @@ func TestGoldenReplay(t *testing.T) {
 			}
 			got[key] = st
 
-			// The batched engine must reproduce the sequential run bit
-			// for bit even on the trace-driven injection path.
-			b, err := NewBatch(cfg, []Replica{{InjectionRate: cfg.InjectionRate, Seed: cfg.Seed}})
-			if err != nil {
-				t.Fatalf("%s: NewBatch: %v", key, err)
-			}
-			if bst := b.Run()[0]; bst != st {
-				t.Errorf("%s: batched replay diverges:\nbatched    %+v\nsequential %+v", key, bst, st)
-			}
 		}
 	}
 

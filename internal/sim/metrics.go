@@ -20,11 +20,7 @@ package sim
 // SimCycles accounting — is deterministic whether or not any
 // speculation happened.
 
-import (
-	"fmt"
-
-	"sparsehamming/internal/obs"
-)
+import "fmt"
 
 // ZeroLoadLatency measures the average packet latency at a very low
 // injection rate (0.5% of capacity), where queueing is negligible and
@@ -68,45 +64,6 @@ func zeroLoad(sh *Shape, cfg Config) (Stats, error) {
 		cfg.Measure = zeroLoadMeasureFloor
 	}
 	return runShaped(sh, cfg)
-}
-
-// ZeroLoadScheduleKey returns the effective measurement window of the
-// zero-load reference run for a configured Measure value. Two
-// saturation searches over the same shape whose configs agree on
-// traffic pattern, seed, and this key execute bit-identical zero-load
-// reference runs, so they may share one ZeroLoadAnchor.
-func ZeroLoadScheduleKey(measure int) int {
-	if measure < zeroLoadMeasureFloor {
-		return zeroLoadMeasureFloor
-	}
-	return measure
-}
-
-// ZeroLoadAnchor memoizes the zero-load reference run that anchors a
-// saturation search's latency-blowup threshold, so sibling searches
-// with identical zero-load schedules (see ZeroLoadScheduleKey) pay
-// for it once. The toolchain's grouped predict evaluator shares one
-// anchor across the quality tiers of a topology. The zero value is an
-// empty anchor; the first search fills it, later searches reuse the
-// memoized Stats verbatim — results stay bit-identical because every
-// consumer would have computed exactly this run.
-type ZeroLoadAnchor struct {
-	valid bool
-	stats Stats
-}
-
-// anchoredZeroLoad returns the memoized zero-load reference run, or
-// executes and memoizes it. A nil anchor always executes.
-func anchoredZeroLoad(sh *Shape, cfg Config, a *ZeroLoadAnchor) (Stats, error) {
-	if a != nil && a.valid {
-		counters.anchorReuses.Add(1)
-		return a.stats, nil
-	}
-	st, err := zeroLoad(sh, cfg)
-	if err == nil && a != nil {
-		a.stats, a.valid = st, true
-	}
-	return st, err
 }
 
 // SaturationResult reports the outcome of a saturation search.
@@ -177,17 +134,10 @@ func clampDrain(c *Config, factor int) {
 	}
 }
 
-// Drain clamp factors (see clampDrain). CurveDrainFactor is exported
-// so batching callers that assemble load-sweep replicas themselves
-// (the noc layer's grouped evaluator) reproduce LoadLatencyCurve's
-// pinned schedule exactly.
+// Drain clamp factors (see clampDrain).
 const (
 	probeDrainFactor = 4
 	curveDrainFactor = 3
-	// CurveDrainFactor is the load-sweep drain clamp: a sweep point's
-	// drain budget is capped at this multiple of its measurement
-	// window.
-	CurveDrainFactor = curveDrainFactor
 )
 
 // satVerdict applies the saturation criterion to a finished probe: an
@@ -218,25 +168,10 @@ func SaturationThroughput(cfg Config) (SaturationResult, error) {
 }
 
 // SaturationThroughputShaped is SaturationThroughput against a
-// pre-built Shape, letting callers that search many configurations of
-// the same topology (the grouped predict evaluator) share one build
-// across all of them. The shape must have been built for the config's
+// pre-built Shape. The shape must have been built for the config's
 // topology, routing, and link latencies; results are bit-identical to
 // SaturationThroughput.
 func SaturationThroughputShaped(sh *Shape, cfg Config) (SaturationResult, error) {
-	return SaturationThroughputAnchored(sh, cfg, nil)
-}
-
-// SaturationThroughputAnchored is SaturationThroughputShaped with an
-// optional shared zero-load anchor: when non-nil, the search takes
-// its zero-load reference run from the anchor (filling it on first
-// use) instead of always simulating one. Callers must only share an
-// anchor between searches whose zero-load schedules coincide —
-// same shape, traffic pattern, seed, and ZeroLoadScheduleKey — in
-// which case the result, including its SimCycles accounting, is
-// bit-identical to the unanchored search. A nil anchor is exactly
-// SaturationThroughputShaped.
-func SaturationThroughputAnchored(sh *Shape, cfg Config, anchor *ZeroLoadAnchor) (SaturationResult, error) {
 	cfg.Defaults()
 	if _, ok := cfg.Pattern.(*Replay); ok {
 		// The search probes by varying the Bernoulli injection rate,
@@ -247,12 +182,12 @@ func SaturationThroughputAnchored(sh *Shape, cfg Config, anchor *ZeroLoadAnchor)
 			cfg.Pattern.Name())
 	}
 	if cfg.Control != nil {
-		return adaptiveSaturation(sh, cfg, anchor)
+		return adaptiveSaturation(sh, cfg)
 	}
 	search := cfg.Span
 	zc := cfg
 	zc.Span = search.Child("zeroload")
-	zlStats, err := anchoredZeroLoad(sh, zc, anchor)
+	zlStats, err := zeroLoad(sh, zc)
 	zc.Span.End()
 	if err != nil {
 		return SaturationResult{}, err
@@ -333,33 +268,31 @@ func finishSearch(res *SaturationResult, lo, hi float64) {
 // (incomplete delivery) are included; callers can filter on
 // DeliveredFraction. Points share the saturation search's drain
 // clamp mechanism (at the curve's historical factor), so sweep
-// points above saturation do not pay the full drain budget.
-//
-// The whole ladder runs as one Batch: the topology is built once and
-// the points step as interleaved replicas, with results bit-identical
-// to the historical point-at-a-time sweep.
+// points above saturation do not pay the full drain budget. The
+// topology is built once and every point instantiates from it.
 func LoadLatencyCurve(cfg Config, rates []float64) ([]Stats, error) {
 	cfg.Defaults()
 	if len(rates) == 0 {
 		return nil, nil
 	}
-	reps := make([]Replica, len(rates))
-	spans := make([]*obs.Span, len(rates))
+	sh, err := NewShape(cfg)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Stats, len(rates))
 	for i, r := range rates {
 		c := cfg
 		c.InjectionRate = r
 		clampDrain(&c, curveDrainFactor)
-		spans[i] = cfg.Span.Child("point")
-		spans[i].SetAttr("rate", r)
-		reps[i] = Replica{InjectionRate: r, Drain: c.Drain, Span: spans[i]}
-	}
-	b, err := NewBatch(cfg, reps)
-	if err != nil {
-		return nil, err
-	}
-	out := b.Run()
-	for _, sp := range spans {
-		sp.End()
+		c.Span = cfg.Span.Child("point")
+		c.Span.SetAttr("rate", r)
+		s, err := sh.Instantiate(c)
+		if err != nil {
+			c.Span.End()
+			return nil, err
+		}
+		out[i] = s.Run()
+		c.Span.End()
 	}
 	return out, nil
 }

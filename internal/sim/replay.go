@@ -6,9 +6,9 @@ package sim
 // destinations per cycle, the engine precomputes the trace's scaled
 // injection schedule at instantiation and generateReplay (engine.go)
 // drains it cursor-style. Everything layered over the engine —
-// warmup/measure/drain windows, adaptive control, Batch replicas, the
+// warmup/measure/drain windows, adaptive control, shared Shapes, the
 // campaign cache — composes with replayed traffic unchanged, because
-// a replica with a Replay pattern runs the identical per-cycle code.
+// a run with a Replay pattern executes the identical per-cycle code.
 //
 // Load scaling: Config.InjectionRate doubles as the replay's time
 // dilation. Scale 1 (or the 0 default) replays the trace at its

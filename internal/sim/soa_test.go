@@ -4,9 +4,10 @@ package sim
 // configuration tuple runs once through the SoA engine (the default)
 // and once through the retained array-of-structs reference engine
 // (Config.reference), and the two Stats must be bit-identical. The
-// sweep reuses the batched harness's corpus machinery (diffFamilies,
-// diffCase) so the matrix covers every topology family, both routing
-// flavors, the whole load ladder, adaptive control, and trace replay.
+// sweep draws from the differential corpus in differential_test.go
+// (diffFamilies, diffCase), so the matrix covers every topology
+// family, both routing flavors, the whole load ladder, adaptive
+// control, and trace replay.
 // A property test pins the occupancy bitmap the SoA phase scans skip
 // idle routers with.
 
